@@ -127,9 +127,10 @@ def _sweep_geometry(
 ) -> Tuple[float, float, float, int]:
     """(ops, bytes, n_blocks, parallel) of ONE fused sweep.
 
-    Mirrors :class:`~repro.core.executor._PlanWorkspace` and the fused
-    operator's ``_plan_blocks`` exactly — these are the counts the real
-    pipeline executes, not an idealized tiling.
+    Follows the fused operator's ``_plan_blocks`` column-split rule.  Ops
+    and bytes are those of the dense-expanded operator (every kernel row
+    times every compact column), an upper bound on what the sparse-tap
+    MAC executes; the calibrated constants absorb the gap.
     """
     L = choose_L(radius)
     width = padded_width(radius)

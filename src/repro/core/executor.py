@@ -5,12 +5,13 @@ Three execution paths:
 * :class:`SpiderExecutor` ``.run()`` / ``.run_batch()`` — the *fused fast
   path*: at compile time every encoded kernel row is stacked into one
   precompiled block operator ``K_all`` (m = n_rows * L, see
-  :class:`repro.sptc.fused.FusedStencilOperator`), and a sweep is one
-  windowing pass over the padded input plus one ``K_all @ X`` GEMM per
-  line chunk — instead of one line-gather, one windowing pass and one GEMM
-  *per kernel row*.  All large buffers live in a plan-owned workspace
-  arena reused across calls, so steady-state serving performs zero large
-  allocations.
+  :class:`repro.sptc.fused.FusedStencilOperator`), and a sweep is, per
+  line block, one gather of the shared input matrix ``X`` plus one
+  sparse-tap MAC that runs only ``K_all``'s non-zero taps into a
+  lane-major accumulator — instead of one line-gather, one windowing pass
+  and one GEMM *per kernel row*.  All large buffers live in a plan-owned
+  workspace arena reused across calls, so steady-state serving performs
+  zero large allocations.
 * ``._reference_run()`` — the original per-row fast path, kept verbatim in
   structure (per-row line gather, windowing, GEMM, accumulate) as the
   equivalence oracle the fused path is tested bit-identical against.
@@ -26,18 +27,18 @@ particular shape or numerical pattern").
 
 Numerics contract
 -----------------
-Per output element, both fast paths reduce the per-column product over the
-swapped-k slots in a fixed ascending order and accumulate kernel-row
-contributions in ascending row order ``q``; the fused MAC is a strictly
-ordered einsum kernel (never the platform BLAS, whose per-element
-reduction order changes with call shape — see
-:mod:`repro.sptc.fused`), so fused and per-row execution are bit-identical
-by construction, independent of batch size, grid shape and line-block
-boundaries.  Under ``precision="fp16"`` both paths accumulate in float32
-**from the start** (the MAC dtype); earlier revisions accumulated in
-float64 and rounded once at the end, which differed from pure float32
-accumulation by up to one ulp per element and forced an extra full-array
-``astype`` round-trip.  Results are compared with ``np.array_equal``
+Per output element, both fast paths sum each kernel row's non-zero taps
+over the swapped-k slots in ascending order and accumulate kernel-row
+contributions in ascending row order ``q``; the fused MAC states and
+keeps that fold itself (scaled adds and an ordered einsum, never the
+platform BLAS, whose per-element reduction order changes with call shape
+— see :mod:`repro.sptc.fused`), so fused and per-row execution are
+bit-identical by construction, independent of batch size, grid shape,
+line-block boundaries and thread count.  Under ``precision="fp16"`` both
+paths accumulate in float32 **from the start** (the MAC dtype); earlier
+revisions accumulated in float64 and rounded once at the end, which
+differed from pure float32 accumulation by up to one ulp per element and
+forced an extra full-array ``astype`` round-trip.  Results are compared with ``np.array_equal``
 (``==``) semantics: dropping structurally-zero terms can flip the sign of
 an all-zero output, never a value.
 """
@@ -143,27 +144,35 @@ class FaithfulRunReport:
 
 
 class _PlanWorkspace:
-    """Preallocated buffers + precomputed index arrays for one geometry.
+    """Preallocated buffers and the line-block plan for one geometry.
 
     A workspace is keyed by grid shape and sized for the largest batch it
     has served (``batch`` is a *capacity*: every per-batch array is a
-    leading-dim prefix of the capacity-sized one, so smaller batches run
-    in views of the same buffers and variable coalesced batch sizes never
-    thrash the arena).  The executor keeps a small LRU of workspaces so
+    prefix of the capacity-sized buffer, so smaller batches run in views
+    of the same buffers and variable coalesced batch sizes never thrash
+    the arena).  The executor keeps a small LRU of workspaces so
     steady-state serving (same plan, same shapes) never allocates
     grid-sized arrays per call.  Everything here is a pure function of the
-    geometry:
+    geometry.
+
+    Output lines are indexed in the *padded* line geometry: output line
+    ``(b, i0, i1)`` is accumulator line ``b·P + i0·P1 + i1`` (``P`` the
+    padded lines per grid, ``P1`` the padded extent of the last leading
+    axis), exactly the index of the padded line kernel row 0 reads for
+    it.  Kernel row ``q`` then reads padded line ``line + shifts[q]``, a
+    constant shift, so a line block is any contiguous range of
+    accumulator lines and each row's input is one contiguous range of the
+    gathered ``X``.  The halo positions in between are computed and never
+    stored.
 
     * ``padded`` — the stacked, halo-padded input buffer, one row per
       padded *line* (last-axis vector), right-extended with the structural
       x-pad the windowing needs;
-    * ``base_plines`` / ``row_cols`` — the precomputed line-gather index
-      arrays: padded-line index of interior line ``l`` at kernel-row
-      offset 0, and per-row ``base + offset(q)``;
-    * ``x*`` / ``y`` / ``gather`` — flat GEMM staging buffers, viewed at
-      the current line-block's size;
-    * ``acc`` — the output accumulator, ``(n_lines, chunks, L)`` in the
-      MAC dtype.
+    * ``x*`` — the gathered input of one line block plus its halo;
+    * ``y`` — MAC scratch: one multi-tap row's einsum output (``L`` rows)
+      or one single-tap lane's products;
+    * ``acc`` — the lane-major output accumulator, ``(L, lines, chunks)``
+      in the MAC dtype, transposed once when results are stored.
     """
 
     __slots__ = (
@@ -172,25 +181,18 @@ class _PlanWorkspace:
         "n",
         "lead_shape",
         "pad_lead",
+        "batch_rows",
         "chunks",
-        "npad",
-        "need",
         "chunks_ext",
-        "lines_per_grid",
         "pad_lines_per_grid",
-        "n_lines",
-        "n_pad_lines",
-        "blk",
-        "base_plines",
-        "poffs",
-        "row_cols",
+        "last_line",
+        "shifts",
+        "halo",
         "padded",
         "x_flat",
         "x16_flat",
         "x32_flat",
         "y_flat",
-        "gather_flat",
-        "idx_scratch",
         "acc",
     )
 
@@ -203,7 +205,6 @@ class _PlanWorkspace:
         L: int,
         width: int,
         n_x_rows: int,
-        m_active: int,
         lead_offset_table: Sequence[Tuple[int, ...]],
         batch_rows: int,
         acc_dtype: type,
@@ -217,75 +218,56 @@ class _PlanWorkspace:
         self.n = n
         self.lead_shape = lead_shape
         self.pad_lead = tuple(s + 2 * r for s in lead_shape)
+        self.batch_rows = batch_rows
         self.chunks = math.ceil(n / L)
-        self.npad = self.chunks * L
-        self.need = self.npad - L + width
+        need = self.chunks * L - L + width
         # padded-line length rounded to L so lines reshape into an
         # (line, chunk, lane) view the X gather can slice directly
-        self.chunks_ext = math.ceil(self.need / L)
-        self.lines_per_grid = int(np.prod(lead_shape)) if lead_shape else 1
+        self.chunks_ext = math.ceil(need / L)
         self.pad_lines_per_grid = (
             int(np.prod(self.pad_lead)) if self.pad_lead else 1
         )
-        self.n_lines = batch * self.lines_per_grid
-        self.n_pad_lines = batch * self.pad_lines_per_grid
-        self.blk = min(batch_rows, self.n_pad_lines)
-
-        # padded-line index of interior line l at kernel-row offset 0:
-        # the batch axis joins the leading geometry unpadded
-        full_lead = (batch,) + lead_shape
-        full_pad = (batch,) + self.pad_lead
-        coords = np.unravel_index(np.arange(self.n_lines), full_lead)
-        flat = np.zeros(self.n_lines, dtype=np.int64)
-        stride = 1
-        for dim in reversed(range(len(full_pad))):
-            flat = flat + coords[dim] * stride
-            stride *= full_pad[dim]
-        self.base_plines = flat
-
-        # flat padded-line offset of each kernel row's leading offsets
-        strides = []
-        stride = 1
-        for s in reversed(self.pad_lead):
-            strides.append(stride)
-            stride *= s
-        strides.reverse()
-        self.poffs = tuple(
-            sum(o * st for o, st in zip(off, strides))
+        # flat padded-line strides of the leading axes
+        strides = np.cumprod((1,) + self.pad_lead[:0:-1])[::-1]
+        #: accumulator line of a grid's last interior line
+        self.last_line = int(
+            sum((s - 1) * st for s, st in zip(lead_shape, strides))
+        )
+        #: per kernel row, the padded-line shift of its leading offsets
+        self.shifts = tuple(
+            int(sum(o * st for o, st in zip(off, strides)))
             for off in lead_offset_table
         )
-        # per-row line-gather index arrays (ascending in l, and for a
-        # fixed l strictly ascending in q — the accumulation-order anchor)
-        self.row_cols = np.stack(
-            [self.base_plines + p for p in self.poffs]
-        )
+        #: extra padded lines a line block reads past its last output line
+        self.halo = max(self.shifts)
 
-        self.padded = np.empty((self.n_pad_lines, self.chunks_ext * L))
-        # the ordered GEMM kernel needs >= 2 columns (see FusedStencilOperator)
-        cells = max(self.blk * self.chunks, 2)
+        self.padded = np.empty(
+            (batch * self.pad_lines_per_grid, self.chunks_ext * L)
+        )
+        blk = min(batch_rows, self.span(batch))
+        # one column past the block's cells: the einsum widens a 1-cell
+        # block to two columns (see FusedStencilOperator.execute)
+        x_cells = (blk + self.halo) * self.chunks + 1
         if fp16:
             self.x_flat = None
-            self.x16_flat = np.empty(n_x_rows * cells, dtype=np.float16)
-            self.x32_flat = np.empty(n_x_rows * cells, dtype=np.float32)
+            self.x16_flat = np.empty(n_x_rows * x_cells, dtype=np.float16)
+            self.x32_flat = np.empty(n_x_rows * x_cells, dtype=np.float32)
         else:
-            self.x_flat = np.empty(n_x_rows * cells)
+            self.x_flat = np.empty(n_x_rows * x_cells)
             self.x16_flat = None
             self.x32_flat = None
-        self.y_flat = np.empty(m_active * cells, dtype=acc_dtype)
-        self.gather_flat = np.empty(L * cells, dtype=acc_dtype)
-        self.idx_scratch = np.empty(self.blk, dtype=np.int64)
-        self.acc = np.empty((self.n_lines, self.chunks, L), dtype=acc_dtype)
+        self.y_flat = np.empty(L * max(blk * self.chunks, 2), dtype=acc_dtype)
+        self.acc = np.empty(
+            L * batch * self.pad_lines_per_grid * self.chunks, dtype=acc_dtype
+        )
+
+    def span(self, batch: int) -> int:
+        """Accumulator lines from the first grid's first output line to
+        the last grid's last one."""
+        return (batch - 1) * self.pad_lines_per_grid + self.last_line + 1
 
     def nbytes(self) -> int:
-        total = (
-            self.padded.nbytes
-            + self.y_flat.nbytes
-            + self.gather_flat.nbytes
-            + self.idx_scratch.nbytes
-            + self.acc.nbytes
-            + self.base_plines.nbytes
-            + self.row_cols.nbytes
-        )
+        total = self.padded.nbytes + self.y_flat.nbytes + self.acc.nbytes
         for buf in (self.x_flat, self.x16_flat, self.x32_flat):
             if buf is not None:
                 total += buf.nbytes
@@ -328,8 +310,8 @@ class SpiderExecutor:
     #: serial (a small pad loop is cheaper than pool dispatch)
     PAD_PARALLEL_MIN = 1 << 15
 
-    #: gathered-element floor (``n_x_rows * cells``) below which the
-    #: X-row gather stays serial
+    #: floor on a line block's ``n_x_rows * output cells`` below which
+    #: the X-row gather stays serial
     GATHER_PARALLEL_MIN = 1 << 16
 
     def __init__(
@@ -463,17 +445,17 @@ class SpiderExecutor:
 
         The grids are stacked along a leading batch axis *after* per-grid
         halo padding (so boundary conditions never couple across requests)
-        and the whole batch then flows through the fused ``K_all @ X``
-        pipeline: one windowing pass over the padded lines, one GEMM per
-        line block spanning every kernel row and every request, and one
-        in-order accumulation pass per kernel row.
+        and the whole batch then flows through the fused pipeline: per
+        line block, one gather of ``X`` spanning every request and one
+        sparse-tap MAC that adds every kernel row's contribution in
+        ascending q.
 
         Returns an array of shape ``(len(grids), *grid_shape)`` whose
         slice ``b`` is bit-identical to ``self.run(grids[b])`` — each X
-        column holds one output chunk of one padded line, and per output
-        element the reduction order is fixed (ascending swapped-k inside
-        the GEMM, ascending kernel row ``q`` across GEMM blocks), so
-        batching never perturbs the numerics.  Under ``fp16`` the result
+        column holds one chunk of one padded line, and per output element
+        the reduction order is fixed (ascending swapped-k inside a kernel
+        row, ascending kernel row ``q`` across rows), so batching never
+        perturbs the numerics.  Under ``fp16`` the result
         is float32, accumulated in float32 throughout (see the module
         docstring's numerics contract).
         """
@@ -559,19 +541,19 @@ class SpiderExecutor:
         sources: List[Tuple[np.ndarray, BoundaryCondition]] = [
             (g.data, g.bc) for g in grids
         ]
-        # a chained ZERO-BC sweep can skip re-writing the halo and
-        # structural pad: the previous sweep left them zero, only the
-        # center changes (value-dependent BCs re-pad fully every sweep)
+        # a chained ZERO-BC sweep can skip the pad altogether: the
+        # previous sweep left the halo and structural pad zero and stored
+        # its results in the interior (value-dependent BCs re-pad their
+        # halos every sweep)
         all_zero = all(bc is BoundaryCondition.ZERO for bc in bcs)
         pad_mode = "full"
         for _ in range(steps - 1):
-            # intermediates stay in the workspace accumulator: the views
-            # are consumed into the padded buffer at the start of the
-            # next sweep, before the accumulator is zeroed
+            # intermediates land in the padded buffer's interior, which
+            # is where the next sweep reads its input
             views = self._sweep_sources(sources, shape, None, pad_mode)
             sources = list(zip(views, bcs))
             if all_zero:
-                pad_mode = "center"
+                pad_mode = "none"
         outs = self._check_out(out, len(grids), shape)
         self._sweep_sources(sources, shape, outs, pad_mode)
         return outs
@@ -616,7 +598,6 @@ class SpiderExecutor:
                     L=self.L,
                     width=self.width,
                     n_x_rows=self._fused.n_x_rows,
-                    m_active=self._fused.m_active,
                     lead_offset_table=self._lead_offset_table,
                     batch_rows=self.batch_rows,
                     acc_dtype=self.acc_dtype,
@@ -649,12 +630,12 @@ class SpiderExecutor:
 
         The ``Grid``-free inner form shared by the single-sweep entry
         points and the chained :meth:`run_batch_steps`.  ``dest=None``
-        leaves the results in the workspace accumulator and returns
-        per-grid views of it (valid until the next sweep through this
-        workspace zeroes the accumulator — the chained path consumes them
-        first).  ``pad_mode="center"`` rewrites only the interior of the
-        padded buffer, relying on halos a previous ZERO-BC sweep already
-        zeroed.
+        stores the results in the interior of the workspace's padded
+        buffer and returns per-grid views of it, valid until the next
+        sweep through this workspace (the chained path feeds them straight
+        back as that sweep's sources).  ``pad_mode="none"`` skips the pad:
+        the sources already sit in the padded interior and the halos are
+        still zero from a previous ZERO-BC sweep.
         """
         B = len(sources)
         hook = _STAGE_HOOK
@@ -668,7 +649,6 @@ class SpiderExecutor:
         # the workspace is sized for its largest batch so far; this call's
         # batch runs in leading-dim prefix views of the same buffers
         n_pad_lines = B * ws.pad_lines_per_grid
-        n_lines = B * ws.lines_per_grid
 
         padded2d = ws.padded[:n_pad_lines]
         padded_grids = padded2d.reshape(
@@ -679,20 +659,13 @@ class SpiderExecutor:
         # per-grid pads write disjoint padded_grids[b] slices, so large
         # batches spread over the MAC pool (order-free: no grid's halo
         # reads another grid's buffer)
-        if pad_mode == "center":
-            r = self.spec.radius
-            center = tuple(slice(r, r + s) for s in shape)
+        def pad_one(b: int) -> None:
+            data, bc = sources[b]
+            self._pad_into(data, bc, padded_grids[b])
 
-            def pad_one(b: int) -> None:
-                padded_grids[b][center] = sources[b][0]
-
-        else:
-
-            def pad_one(b: int) -> None:
-                data, bc = sources[b]
-                self._pad_into(data, bc, padded_grids[b])
-
-        if (
+        if pad_mode == "none":
+            pass  # the sources already sit in the padded interior
+        elif (
             op.mac_threads > 1
             and B >= 2
             and padded_grids[0].size >= self.PAD_PARALLEL_MIN
@@ -707,40 +680,38 @@ class SpiderExecutor:
         # so swapped X row i is the strided slice [:, sh_i : sh_i+chunks, t_i]
         padded_lanes = padded2d.reshape(n_pad_lines, ws.chunks_ext, L)
 
-        acc = ws.acc[:n_lines]
-        acc[...] = 0
-        for p0 in range(0, n_pad_lines, ws.blk):
-            p1 = min(p0 + ws.blk, n_pad_lines)
-            pl = p1 - p0
-            block = padded_lanes[p0:p1]
+        # lane-major accumulator over the padded line geometry:
+        # acc[t, line, j] is output element j*L + t of that line
+        acc = ws.acc[: L * n_pad_lines * chunks].reshape(L, -1)
+        # each active kernel row's first X cell within a block
+        offsets = [ws.shifts[q] * chunks for q in op.active_kernel_rows]
+        span = ws.span(B)
+        for a0 in range(0, span, ws.batch_rows):
+            a1 = min(a0 + ws.batch_rows, span)
             if emit is not None:
                 t_gather = time.monotonic()
+            # output lines [a0, a1) read padded lines [a0, a1 + halo)
+            pl = a1 - a0 + ws.halo
             cells = pl * chunks
-            # einsum's ordered kernel needs >= 2 columns; pad with zeros
-            # (slicing back to `cells` is a view: the pad sits at the end)
-            n_exec = max(cells, 2)
+            # sized by the block's output cells: the halo re-read is not
+            # work a second thread would win back
             gather_parallel = (
                 op.mac_threads > 1
                 and n_x >= 2
-                and n_x * cells >= self.GATHER_PARALLEL_MIN
+                and n_x * (a1 - a0) * chunks >= self.GATHER_PARALLEL_MIN
             )
-            if fp16:
-                x16 = ws.x16_flat[: n_x * n_exec].reshape(n_x, n_exec)
-                if n_exec > cells:
-                    x16[:, cells:] = 0
-                x3 = x16[:, :cells].reshape(n_x, pl, chunks)
-            else:
-                x2 = ws.x_flat[: n_x * n_exec].reshape(n_x, n_exec)
-                if n_exec > cells:
-                    x2[:, cells:] = 0
-                x3 = x2[:, :cells].reshape(n_x, pl, chunks)
+            buf = ws.x16_flat if fp16 else ws.x_flat
+            xg = buf[: n_x * (cells + 1)].reshape(n_x, cells + 1)
+            xg[:, cells] = 0
+            x3 = xg[:, :cells].reshape(n_x, pl, chunks)
+            src = padded_lanes[a0 : a0 + pl]
 
             # each compact X row is a disjoint strided copy, so row
             # ranges spread over the MAC pool when the gather is large
             def gather_rows(i0: int, i1: int) -> None:
                 for i in range(i0, i1):
                     sh, t = op.x_row_shift[i], op.x_row_lane[i]
-                    np.copyto(x3[i], block[:, sh : sh + chunks, t])
+                    np.copyto(x3[i], src[:, sh : sh + chunks, t])
 
             if gather_parallel:
                 op.map_tasks(
@@ -749,62 +720,37 @@ class SpiderExecutor:
             else:
                 gather_rows(0, n_x)
             if fp16:
-                x32 = ws.x32_flat[: n_x * n_exec].reshape(n_x, n_exec)
-                np.copyto(x32, x16)
-                x2 = x32
-            y2 = ws.y_flat[: op.m_active * n_exec].reshape(
-                op.m_active, n_exec
-            )
+                x = ws.x32_flat[: xg.size].reshape(xg.shape)
+                np.copyto(x, xg)
+            else:
+                x = xg
             if emit is not None:
-                t_gemm = time.monotonic()
-                emit("mac.gather", t_gather, t_gemm - t_gather)
-            # the operator emits one mac.gemm span per column block
-            # itself (from whichever pool thread ran the block)
-            op.execute(x2, out=y2, stream=self.stream, emit=emit)
-            if emit is not None:
-                t_scatter = time.monotonic()
-            y3 = y2[:, :cells].reshape(op.m_active, pl, chunks)
-            # scatter-accumulate each kernel row's block in ascending q;
-            # a line's contributions arrive in ascending q because its
-            # padded-line index is strictly increasing in q.  This stage
-            # stays serial even under mac_threads > 1: different q ranges
-            # overlap in acc, and the ascending-q accumulation order *is*
-            # the numerics contract
-            for qi, q in enumerate(op.active_kernel_rows):
-                rc = ws.row_cols[q, :n_lines]
-                lo = int(np.searchsorted(rc, p0, side="left"))
-                hi = int(np.searchsorted(rc, p1, side="left"))
-                if lo >= hi:
-                    continue
-                nl = hi - lo
-                idx = ws.idx_scratch[:nl]
-                np.subtract(rc[lo:hi], p0, out=idx)
-                g3 = ws.gather_flat[: L * nl * chunks].reshape(
-                    L, nl, chunks
-                )
-                np.take(y3[qi * L : (qi + 1) * L], idx, axis=1, out=g3)
-                acc[lo:hi] += g3.transpose(1, 2, 0)
-            if emit is not None:
-                emit(
-                    "mac.scatter", t_scatter, time.monotonic() - t_scatter
-                )
+                emit("mac.gather", t_gather, time.monotonic() - t_gather)
+            acc_blk = acc[:, a0 * chunks : a1 * chunks]
+            acc_blk[...] = 0
+            op.execute(x, acc_blk, offsets, ws.y_flat, self.stream, emit)
 
-        res2d = acc.reshape(n_lines, ws.npad)[:, : ws.n]
-        lpg = ws.lines_per_grid
-        if dest is None:
-            return [
-                res2d[b * lpg : (b + 1) * lpg].reshape(shape)
-                for b in range(B)
-            ]
         if emit is not None:
             t_store = time.monotonic()
+        chained = dest is None
+        if chained:
+            # the padded buffer is free once every block is gathered: the
+            # results land in its interior, where the next chained sweep
+            # reads them without another copy
+            r = self.spec.radius
+            center = tuple(slice(r, r + s) for s in shape)
+            dest = [padded_grids[b][center] for b in range(B)]
+        # the one transpose: lane t of every chunk is output column t::L
+        acc_g = acc.reshape((L, B) + ws.pad_lead + (chunks,))
+        interior = tuple(slice(0, s) for s in ws.lead_shape)
         for b in range(B):
-            np.copyto(
-                dest[b].reshape(lpg, ws.n), res2d[b * lpg : (b + 1) * lpg]
-            )
+            for t in range(min(L, ws.n)):
+                cols = dest[b][..., t::L]
+                lane = acc_g[(t, b) + interior]
+                np.copyto(cols, lane[..., : cols.shape[-1]])
         if emit is not None:
             emit("mac.store", t_store, time.monotonic() - t_store)
-        return None
+        return dest if chained else None
 
     def _pad_into(
         self, data: np.ndarray, bc: BoundaryCondition, dest: np.ndarray
@@ -830,7 +776,9 @@ class SpiderExecutor:
             )
         dest[..., n + 2 * r :] = 0.0
         center = tuple(slice(r, r + s) for s in data.shape)
-        dest[center] = data
+        # a chained sweep's results already sit in the interior
+        if not np.may_share_memory(data, dest):
+            dest[center] = data
         for axis in range(d):
             s = data.shape[axis]
 
@@ -863,8 +811,8 @@ class SpiderExecutor:
         pipeline must reproduce this bit-for-bit wherever the platform
         GEMM is stacking-deterministic, and the benchmark suite measures
         the fused path's speedup against it.  Shares the numerics contract
-        of :meth:`run_batch` (float32 accumulation under fp16) and the
-        GEMM datapath (:meth:`FusedStencilOperator.row_gemm`).
+        of :meth:`run_batch` (float32 accumulation under fp16) through the
+        emulator's select-then-MAC datapath (:meth:`_gemm`).
         """
         grids, shape = self._validate_batch(grids)
         B = len(grids)

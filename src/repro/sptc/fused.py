@@ -1,41 +1,66 @@
-"""Precompiled fused SpTC operator: all kernel rows in one GEMM.
+"""Precompiled fused SpTC operator: all kernel rows, one sparse-tap MAC.
 
 The paper's thesis is that a stencil becomes *one* sparse-tensor-core GEMM
-after the 2:4 transformation.  The executor's original fast path still
-issued one :func:`~repro.sptc.mma_sp.sparse_matmul` per kernel row (``side``
-GEMMs for 2D, ``side²`` for 3D), each with its own line gather, windowing
-pass, selection gather and ``(m, k/2, n)`` einsum intermediate.  This
-module provides the compile-time alternative: every encoded row's
+after the 2:4 transformation.  At compile time every encoded row's
 compressed matrix is stacked vertically into one block operator ``K_all``
-with ``m = n_rows * L``, and the selection stage is applied **once at
-build time** through the precomputed index tensor
-(:meth:`~repro.sptc.formats.Sparse24Matrix.selection_indices`), yielding a
-dense operand whose structural zeros are then compacted away
-(all-zero kernel-row blocks and all-zero k-columns are dropped).
+with ``m = n_rows * L``, the selection stage is applied **once** through
+the precomputed index tensor
+(:meth:`~repro.sptc.formats.Sparse24Matrix.selection_indices`), and the
+structural zeros are compacted away: all-zero kernel-row blocks and
+all-zero k-columns are dropped, leaving ``kernel_compact``.
+
+Like ``mma.sp``, which multiplies only the stored non-zeros, the MAC then
+runs only the non-zero taps.  Each kernel-row block repeats one tap
+multiset in every lane, so every active row falls into one of two cases
+fixed at build time:
+
+* **single-tap rows** (every off-centre row of a star stencil) hold one
+  non-zero weight ``v_t`` per lane ``t``.  The row runs as a scaled add,
+  ``acc[t] += v_t * X[w_t]``, one ``multiply`` and one ``add`` per lane.
+* **multi-tap rows** (the centre row of a star, every row of a box) run
+  an ``np.einsum("mw,wn->mn")`` over the row block's sub-operand — its
+  ``L`` rows of ``kernel_compact``, trimmed to the span of compact
+  columns holding its non-zeros — and the result is added to ``acc``.
 
 Numerics contract
 -----------------
-Execution is a *strictly ordered* matrix product: per output element the
-reduction runs over the swapped-k slots in ascending order — exactly the
-order of the emulator's select-then-MAC einsum, because the selection
-indices are strictly increasing along the compressed slots of every row.
-The kernel is built on ``np.einsum`` (whose sum-of-products loop is fixed
-and independent of operand shape, column offsets or blocking), **not** on
-the platform BLAS: BLAS GEMMs choose differently-ordered kernels per call
-shape, which would make results depend on batch size and grid shape at the
-last ulp.  The one shape einsum itself special-cases is a single output
-column (n = 1 degenerates into its unrolled inner-product kernel), so
-:meth:`FusedStencilOperator.execute` always issues calls with at least two
-columns — zero-padding the block when needed.  Consequently a fused
-``K_all @ X`` is bit-identical to issuing the per-row products one at a
-time — the property the executor's fused/reference equivalence oracle
-asserts — and batching requests can never perturb a request's numerics.
+``w`` is a swapped-k slot: a column of the strided-swapped operand, i.e.
+``mma.sp``'s k index, in the order the compact columns keep.  Per output
+element the result is the fold
 
-Dropping structurally-zero rows/columns and skipping the interleaved zero
-slots is exact for finite inputs up to the sign of zero outputs
-(``x + 0.0`` is bitwise ``x`` for every finite non-zero ``x``), which is
-why equality is asserted with ``==``-semantics (``np.array_equal``), not
-bit-pattern comparison of signed zeros.
+    acc = 0
+    for q in ascending active kernel rows:
+        s = 0
+        for w in ascending non-zero taps of (q, lane):
+            s = s + k[q, lane, w] * x[w]
+        acc = acc + s
+
+with every product and every sum rounded once, in the MAC dtype (float64,
+or float32 under ``fp16``) and without fused multiply-adds.  A single-tap
+row adds ``v·x`` itself: ``acc + v·x`` and ``acc + (0 + v·x)`` differ
+only if ``v·x`` is ``-0`` and ``acc`` is too, and ``acc``, starting at
+``+0``, is never ``-0``.  The einsum honours
+the fold because its sum-of-products loop for ``"mw,wn->mn"`` with at
+least two output columns adds one ``k·x`` term per w, in ascending w, to
+each output element; the zero weights its sub-operand still carries add
+``±0`` to a finite partial sum, which changes nothing but the sign of a
+zero.  The one call shape with another kernel is a single output column
+(n = 1 degenerates into an unrolled inner product), so :meth:`execute`
+never issues it.  ``tests/test_sparse_tap_order.py`` pins the fold
+against an explicit Python loop on operands where any other order, or an
+FMA, changes the bits.
+
+The fold is the one the per-row reference path
+(:meth:`~repro.core.executor.SpiderExecutor._reference_run`) computes, so
+the fused sweep is byte-equal to it for finite inputs, and nothing in the
+fold depends on batch size, grid shape, line-block boundaries or thread
+count.  Results are compared with ``np.array_equal`` semantics: dropping
+structural zeros may flip the sign of an all-zero output, never a value.
+
+Only the einsum is threaded: its column blocks are disjoint
+``out[:, c0:c1]`` slices, which cannot change any element's fold.  The
+scaled adds and the adds into ``acc`` run serially in ascending q,
+because that order is the contract.
 """
 
 from __future__ import annotations
@@ -209,9 +234,34 @@ class FusedStencilOperator:
         #: swap folded into the gather: X_swapped[i] = window column
         #: permutation[active_cols[i]])
         src = self.permutation[cols]
-        self.x_row_window = src
         self.x_row_shift = src // self.L
         self.x_row_lane = src % self.L
+
+        # -- the sparse-tap MAC program, one entry per active row --
+        #: per active row: ``(i_t, v_t)`` for each lane t of a single-tap
+        #: row (compact X row and weight), else ``None``
+        self.row_taps: List[Optional[Tuple[Tuple[int, np.generic], ...]]] = []
+        #: per active row: ``(sub, c0, c1)`` for a multi-tap row — its
+        #: sub-operand over compact columns ``[c0, c1)`` — else ``None``
+        self.row_operands: List[Optional[Tuple[np.ndarray, int, int]]] = []
+        for qi in range(len(self.active_kernel_rows)):
+            blk = self.kernel_compact[qi * self.L : (qi + 1) * self.L]
+            lane_nz = [np.flatnonzero(lane) for lane in blk]
+            if all(len(nz) == 1 for nz in lane_nz):
+                self.row_taps.append(
+                    tuple(
+                        (int(nz[0]), blk[t, nz[0]])
+                        for t, nz in enumerate(lane_nz)
+                    )
+                )
+                self.row_operands.append(None)
+            else:
+                nz = np.flatnonzero(np.any(blk != 0, axis=0))
+                c0, c1 = int(nz[0]), int(nz[-1]) + 1
+                self.row_taps.append(None)
+                self.row_operands.append(
+                    (np.ascontiguousarray(blk[:, c0:c1]), c0, c1)
+                )
 
     # ------------------------------------------------------------------
     def __reduce__(self):
@@ -270,6 +320,7 @@ class FusedStencilOperator:
             + self.sparse.values.nbytes
             + self.sparse.positions.nbytes
             + self.sparse.selection_indices().nbytes
+            + sum(o[0].nbytes for o in self.row_operands if o is not None)
         )
 
     def _emit(
@@ -367,6 +418,7 @@ class FusedStencilOperator:
 
     def _gemm_block(
         self,
+        sub: np.ndarray,
         x: np.ndarray,
         out: np.ndarray,
         c0: int,
@@ -375,58 +427,84 @@ class FusedStencilOperator:
     ) -> None:
         """One ordered-einsum column block, optionally traced."""
         if emit is None:
-            np.einsum(
-                "mw,wn->mn",
-                self.kernel_compact,
-                x[:, c0:c1],
-                out=out[:, c0:c1],
-            )
+            np.einsum("mw,wn->mn", sub, x[:, c0:c1], out=out[:, c0:c1])
             return
         t0 = time.monotonic()
-        np.einsum(
-            "mw,wn->mn",
-            self.kernel_compact,
-            x[:, c0:c1],
-            out=out[:, c0:c1],
-        )
+        np.einsum("mw,wn->mn", sub, x[:, c0:c1], out=out[:, c0:c1])
         emit("mac.gemm", t0, time.monotonic() - t0)
+
+    def _gemm(
+        self,
+        sub: np.ndarray,
+        x: np.ndarray,
+        out: np.ndarray,
+        emit: Optional[Callable[[str, float, float], None]],
+    ) -> None:
+        """``out = sub @ x`` in ordered column blocks, serially or over the
+        plan-owned pool (:meth:`_plan_blocks`)."""
+        n = x.shape[1]
+        blocks = self._plan_blocks(n)
+        if blocks is None:
+            for c0, c1 in col_blocks(n, self.mac_col_block):
+                self._gemm_block(sub, x, out, c0, c1, emit)
+        else:
+            self._pool().run(
+                lambda c0, c1: self._gemm_block(sub, x, out, c0, c1, emit),
+                blocks,
+            )
 
     # ------------------------------------------------------------------
     def execute(
         self,
         x: np.ndarray,
-        out: np.ndarray,
+        acc: np.ndarray,
+        offsets: Sequence[int],
+        scratch: np.ndarray,
         stream: Optional[InstructionStream] = None,
         emit: Optional[Callable[[str, float, float], None]] = None,
-    ) -> np.ndarray:
-        """One fused ordered GEMM: ``K_all @ X`` for all active rows.
+    ) -> None:
+        """Accumulate one line block's stencil into ``acc``.
 
-        ``x`` is the compact input matrix (``n_x_rows``, n) already in
-        swapped row order and cast to the MAC dtype; ``out`` is the
-        (``m_active``, n) destination (a workspace buffer).  The product
-        is evaluated in column blocks with the strictly ordered einsum
-        kernel (see the module docstring) — serially below the plan's
-        column threshold, otherwise spread over the plan-owned MAC pool
-        as disjoint ``out[:, c0:c1]`` slices; both paths are
-        bit-identical for any thread count and block width >= 2.  A
-        trailing 1-wide remainder block is always merged into its
-        neighbour (:func:`~repro.sptc.macpool.col_blocks`), since n = 1
-        is the one einsum call shape with a different reduction kernel.
+        ``acc`` is the lane-major ``(L, n)`` accumulator view of the
+        block's ``n`` output cells.  ``x`` is the gathered compact input,
+        ``(n_x_rows, m)`` in swapped row order and the MAC dtype: active
+        kernel row ``k`` reads cells ``x[:, offsets[k] : offsets[k] + n]``
+        (its leading offset, flattened), and ``x`` holds at least one
+        cell past the last row's, zero when ``n`` is 1.  ``scratch`` is a
+        flat buffer of the accumulator dtype with at least
+        ``L * max(n, 2)`` elements.
+
+        Each row adds its contribution in ascending q, as the module
+        docstring's fold states: single-tap rows as per-lane scaled adds,
+        multi-tap rows as an ordered einsum (column blocked, and threaded
+        above the plan's column threshold) followed by one add.  An
+        einsum over one column is widened to two, since n = 1 is the call
+        shape with a different kernel.
 
         ``emit`` (the executor's tracing stage hook) receives one
-        ``mac.gemm`` span per column block, recorded from whichever
-        thread ran the block.
+        ``mac.gemm`` span per einsum column block, from whichever thread
+        ran it, and ``mac.scatter`` spans for the scaled adds and the
+        adds into ``acc``.
         """
-        n = x.shape[1]
-        if self.m_active:
-            blocks = self._plan_blocks(n)
-            if blocks is None:
-                for c0, c1 in col_blocks(n, self.mac_col_block):
-                    self._gemm_block(x, out, c0, c1, emit)
-            else:
-                self._pool().run(
-                    lambda c0, c1: self._gemm_block(x, out, c0, c1, emit),
-                    blocks,
-                )
-        self._emit(stream, n)
-        return out
+        n = acc.shape[1]
+        n_gemm = max(n, 2)
+        y = scratch[: self.L * n_gemm].reshape(self.L, n_gemm)
+        tmp = scratch[:n]
+        t_add = time.monotonic() if emit is not None else 0.0
+        rows = zip(self.row_taps, self.row_operands, offsets)
+        for taps, operand, off in rows:
+            if taps is not None:
+                for t, (i, v) in enumerate(taps):
+                    np.multiply(x[i, off : off + n], v, out=tmp)
+                    np.add(acc[t], tmp, out=acc[t])
+                continue
+            if emit is not None:
+                emit("mac.scatter", t_add, time.monotonic() - t_add)
+            sub, c0, c1 = operand
+            self._gemm(sub, x[c0:c1, off : off + n_gemm], y, emit)
+            if emit is not None:
+                t_add = time.monotonic()
+            np.add(acc, y[:, :n], out=acc)
+        if emit is not None:
+            emit("mac.scatter", t_add, time.monotonic() - t_add)
+        self._emit(stream, n_gemm)

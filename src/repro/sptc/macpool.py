@@ -1,8 +1,8 @@
 """Persistent thread pool for the ordered MAC's column-block parallelism.
 
 The fused operator's ``np.einsum`` kernel releases the GIL in its C core,
-so disjoint ``out[:, c0:c1]`` column blocks of one ``K_all @ X`` product
-can run concurrently on plain threads — and because each output element's
+so disjoint ``out[:, c0:c1]`` column blocks of one multi-tap kernel row's
+product can run concurrently on plain threads — and because each output element's
 reduction order is a function of the *w* axis alone (fixed by einsum,
 independent of operand shape, column offset or blocking), distributing
 blocks across threads cannot change any element's summation order.  The

@@ -16,3 +16,6 @@ def rng2():
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: slow emulator-level tests")
+    # a deprecated call in the package fails the suite instead of
+    # scrolling past in the warnings summary
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning:repro")

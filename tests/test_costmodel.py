@@ -338,7 +338,8 @@ def test_profile_round_trip(tmp_path):
     prof.save(path)
     loaded = TunedProfile.load(path)
     assert loaded == prof
-    doc = json.loads(open(path).read())
+    with open(path) as fh:
+        doc = json.load(fh)
     assert doc["format"] == PROFILE_FORMAT
     assert doc["version"] == PROFILE_VERSION
 

@@ -57,6 +57,12 @@ EQUIVALENCE_MATRIX = [
     (3, 2, "box", (9, 11, 13)),
     (3, 2, "star", (6, 10, 14)),
     (3, 3, "star", (9, 9, 17)),
+    # one long line per grid, no leading axis (the serving mix's wave1d)
+    (1, 2, "box", (9216,)),
+    # more output lines than batch_rows: line blocks cut inside a grid,
+    # each re-reading its 2r halo rows
+    (2, 2, "star", (600, 19)),
+    (3, 2, "star", (11, 48, 13)),
 ]
 
 
@@ -65,12 +71,17 @@ EQUIVALENCE_MATRIX = [
 def test_fused_bit_identical_to_reference(dims, r, kind, shape, precision, rng):
     spec = _make(dims, r, kind, rng)
     ex = SpiderExecutor(spec, precision)
-    for batch in (1, 3):
-        grids = [Grid.random(shape, rng) for _ in range(batch)]
-        ref = ex._reference_run(grids)
-        got = ex.run_batch(grids)
-        assert got.dtype == ref.dtype
-        assert np.array_equal(ref, got), (dims, r, kind, shape, precision, batch)
+    try:
+        for batch in (1, 3):
+            grids = [Grid.random(shape, rng) for _ in range(batch)]
+            ref = ex._reference_run(grids)
+            got = ex.run_batch(grids)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(ref, got), (dims, r, kind, shape, precision, batch)
+    finally:
+        # the larger grids take the threaded MAC: leave no pool threads
+        # behind for later tests that fork worker processes
+        ex.release_mac_pool()
 
 
 @pytest.mark.parametrize(
@@ -83,10 +94,16 @@ def test_fused_bit_identical_to_reference(dims, r, kind, shape, precision, rng):
     ],
 )
 def test_fused_bit_identical_across_boundary_conditions(bc, rng):
-    spec = make_box_kernel(2, 2, rng)
-    ex = SpiderExecutor(spec)
-    grids = [Grid.random((19, 27), rng, bc) for _ in range(2)]
-    assert np.array_equal(ex._reference_run(grids), ex.run_batch(grids))
+    for dims, kind, shape in [
+        (2, "box", (19, 27)),
+        (2, "star", (19, 27)),
+        (3, "star", (6, 7, 9)),
+        (1, "star", (33,)),
+    ]:
+        spec = _make(dims, 2, kind, rng)
+        ex = SpiderExecutor(spec)
+        grids = [Grid.random(shape, rng, bc) for _ in range(2)]
+        assert np.array_equal(ex._reference_run(grids), ex.run_batch(grids))
 
 
 @given(
@@ -144,14 +161,17 @@ def test_tc_variant_fused_consistency(rng):
     """The dense-TC ablation is batch-invariant and matches its reference
     to GEMM rounding (the seed TC path multiplies through the platform
     BLAS, whose per-element order is shape-dependent — the very effect the
-    ordered SpTC kernel is built to avoid)."""
-    spec = make_box_kernel(2, 3, rng)
-    ex = SpiderExecutor(spec, use_sptc=False)
-    grids = [Grid.random((24, 32), rng) for _ in range(4)]
-    per_grid = np.stack([ex.run(g) for g in grids])
-    fused = ex.run_batch(grids)
-    assert np.array_equal(per_grid, fused)
-    assert np.allclose(ex._reference_run(grids), fused, rtol=1e-12, atol=0)
+    ordered SpTC kernel is built to avoid).  The star case runs its
+    off-centre rows as scaled adds."""
+    for spec in (make_box_kernel(2, 3, rng), make_star_kernel(3, 2, rng)):
+        ex = SpiderExecutor(spec, use_sptc=False)
+        shape = (24, 32) if spec.dims == 2 else (6, 9, 13)
+        grids = [Grid.random(shape, rng) for _ in range(4)]
+        per_grid = np.stack([ex.run(g) for g in grids])
+        fused = ex.run_batch(grids)
+        ex.release_mac_pool()
+        assert np.array_equal(per_grid, fused)
+        assert np.allclose(ex._reference_run(grids), fused, rtol=1e-12, atol=0)
 
 
 def test_fp16_accumulates_float32_without_round_trip(rng):
@@ -244,13 +264,13 @@ def test_workspace_reused_across_calls(rng):
     ex.run_batch(grids)
     assert ex._workspace_builds == 1
     ws = next(iter(ex._workspaces.values()))
-    buffers = (ws.padded, ws.x_flat, ws.y_flat, ws.acc, ws.gather_flat)
+    buffers = (ws.padded, ws.x_flat, ws.y_flat, ws.acc)
     for _ in range(3):
         ex.run_batch([Grid.random((32, 40), rng) for _ in range(3)])
     assert ex._workspace_builds == 1  # steady state: no arena rebuilds
     ws2 = next(iter(ex._workspaces.values()))
     assert ws2 is ws
-    for a, b in zip(buffers, (ws2.padded, ws2.x_flat, ws2.y_flat, ws2.acc, ws2.gather_flat)):
+    for a, b in zip(buffers, (ws2.padded, ws2.x_flat, ws2.y_flat, ws2.acc)):
         assert a is b  # the same buffers, not reallocations
 
 
@@ -308,31 +328,36 @@ def test_run_batch_split_results_own_their_memory(rng):
 def test_run_batch_steps_matches_resubmit_chain(rng):
     """The chained multi-sweep is byte-identical to running one sweep,
     re-wrapping each result in a Grid with the same BC, and resubmitting —
-    across dims, BCs (the ZERO center-only repad fast path included),
-    batch sizes and precisions."""
+    across dims, stencil shapes, BCs (the ZERO no-repad fast path, which
+    reads results stored in place, included), batch sizes and
+    precisions — and equal to the same chain through the reference
+    path."""
     cases = [(1, (33,)), (2, (12, 18)), (3, (6, 7, 9))]
     for precision in ("exact", "fp16"):
         for dims, shape in cases:
-            spec = make_box_kernel(dims, 1, rng)
-            ex = SpiderExecutor(spec, precision)
-            for bc in BoundaryCondition:
-                for batch in (1, 3):
-                    grids = [
-                        Grid.random(shape, rng, bc) for _ in range(batch)
-                    ]
-                    chained = ex.run_batch_steps(grids, 3)
-                    cur = grids
-                    for _ in range(2):
-                        outs = ex.run_batch(cur)
-                        cur = [
-                            Grid(outs[b], bc) for b in range(batch)
+            for make in (make_box_kernel, make_star_kernel):
+                spec = make(dims, 1, rng)
+                ex = SpiderExecutor(spec, precision)
+                for bc in BoundaryCondition:
+                    for batch in (1, 3):
+                        grids = [
+                            Grid.random(shape, rng, bc) for _ in range(batch)
                         ]
-                    expect = ex.run_batch_split(cur)
-                    for a, b in zip(chained, expect):
-                        assert a.dtype == b.dtype
-                        assert a.tobytes() == b.tobytes(), (
-                            precision, dims, bc, batch,
-                        )
+                        chained = ex.run_batch_steps(grids, 4)
+                        cur = ref = grids
+                        for _ in range(3):
+                            outs = ex.run_batch(cur)
+                            cur = [Grid(outs[b], bc) for b in range(batch)]
+                            outs = ex._reference_run(ref)
+                            ref = [Grid(outs[b], bc) for b in range(batch)]
+                        expect = ex.run_batch_split(cur)
+                        oracle = ex._reference_run(ref)
+                        for a, b, o in zip(chained, expect, oracle):
+                            assert a.dtype == b.dtype
+                            assert a.tobytes() == b.tobytes(), (
+                                precision, dims, bc, batch,
+                            )
+                            assert np.array_equal(a, o)
     with pytest.raises(ValueError):
         ex.run_batch_steps([Grid.random((6, 7, 9), rng)], 0)
 

@@ -196,6 +196,8 @@ DIFF_CASES = [
     ("box", 2, 2, (18, 23)),
     ("star", 2, 1, (16, 16)),
     ("box", 3, 1, (7, 8, 9)),
+    ("box", 1, 2, (9216,)),
+    ("star", 3, 2, (6, 10, 14)),
 ]
 
 
@@ -206,22 +208,26 @@ DIFF_CASES = [
     ids=[f"{k}{d}D-r{r}" for k, d, r, _ in DIFF_CASES],
 )
 def test_threaded_mac_bit_identical(kind, dims, radius, shape, precision):
-    """threads=1 vs threads=4 across dims x precision x all BCs."""
+    """threads=1 vs threads=3 and 4 across dims x precision x all BCs,
+    all equal to the reference path."""
     rng = np.random.default_rng(dims * 10 + radius)
     make = make_box_kernel if kind == "box" else make_star_kernel
     spec = make(dims, radius, rng)
     for bc in ALL_BCS:
         grid = Grid(rng.standard_normal(shape), bc)
-        serial = _run_released(spec, grid, precision=precision, mac_threads=1)
-        threaded = _run_released(
-            spec,
-            grid,
-            precision=precision,
-            mac_threads=4,
-            mac_col_block=SMALL_BLOCK,
-        )
-        assert serial.dtype == threaded.dtype
-        assert serial.tobytes() == threaded.tobytes(), (kind, bc)
+        ex = SpiderExecutor(spec, precision, mac_threads=1)
+        serial = ex.run(grid)
+        assert np.array_equal(serial, ex._reference_run([grid])[0])
+        for threads in (3, 4):
+            threaded = _run_released(
+                spec,
+                grid,
+                precision=precision,
+                mac_threads=threads,
+                mac_col_block=SMALL_BLOCK,
+            )
+            assert serial.dtype == threaded.dtype
+            assert serial.tobytes() == threaded.tobytes(), (kind, bc, threads)
 
 
 def test_block_width_never_perturbs_numerics():
@@ -264,6 +270,9 @@ def test_all_zero_kernel_skips_gemm_identically():
     )
     assert not np.any(serial)
     assert serial.tobytes() == threaded.tobytes()
+    ex = SpiderExecutor(zero, mac_threads=1)
+    assert ex.fused_operator.m_active == 0
+    assert np.array_equal(serial, ex._reference_run([grid])[0])
 
 
 @given(

@@ -226,9 +226,12 @@ def test_fused_operator_pickle_roundtrip(rng):
             x = rng.standard_normal((op.n_x_rows, 8)).astype(
                 np.float32 if precision == "fp16" else np.float64
             )
-            y0 = np.empty((op.m_active, 8), dtype=op.acc_dtype)
-            y1 = np.empty((op.m_active, 8), dtype=op.acc_dtype)
-            assert (
-                op.execute(x, out=y0).tobytes()
-                == op2.execute(x, out=y1).tobytes()
-            )
+            # a block of 6 output cells; kernel row k reads from cell k % 3
+            offsets = [k % 3 for k in range(len(op.active_kernel_rows))]
+            accs = []
+            for o in (op, op2):
+                acc = np.zeros((op.L, 6), dtype=op.acc_dtype)
+                scratch = np.empty(op.L * 6, dtype=op.acc_dtype)
+                o.execute(x, acc, offsets, scratch)
+                accs.append(acc.tobytes())
+            assert accs[0] == accs[1]
