@@ -27,6 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
+from .serve.batching import DEFAULT_MAX_WAIT_S
 
 __all__ = ["main"]
 
@@ -400,6 +401,13 @@ def _cmd_trace(args) -> int:
     return 0 if stats.telemetry.errors == 0 else 1
 
 
+_WAIT_MS_HELP = (
+    "batch release (ms): 0 (default) ships a batch as soon as its worker "
+    "is free, fusing whatever queued meanwhile; > 0 is an opt-in hold of "
+    "the oldest request for co-batchable arrivals"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -506,7 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="max batch size (default: tuned profile's cap, else 8)",
     )
     p.add_argument(
-        "--wait-ms", type=float, default=2.0, help="batching deadline (ms)"
+        "--wait-ms",
+        type=float,
+        default=DEFAULT_MAX_WAIT_S * 1e3,
+        help=_WAIT_MS_HELP,
     )
     p.add_argument(
         "--steps",
@@ -635,7 +646,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transport", choices=["shm", "queue"], default="shm")
     p.add_argument("--batch", type=int, default=8, help="max batch size")
     p.add_argument(
-        "--wait-ms", type=float, default=2.0, help="batching deadline (ms)"
+        "--wait-ms",
+        type=float,
+        default=DEFAULT_MAX_WAIT_S * 1e3,
+        help=_WAIT_MS_HELP,
     )
     p.add_argument("--steps", type=int, default=1)
     p.add_argument(

@@ -8,19 +8,22 @@ per-sweep Python and GEMM-launch overhead across the whole batch — the same
 phase-amortization idea as the SUMMA compute model's overlapped pipeline
 (SNIPPETS.md).
 
-:class:`BatchQueue` implements the classic coalescing policy: a batch is
-released as soon as ``max_batch_size`` same-key requests are pending, or
-when the oldest pending request has waited ``max_wait_s`` (the deadline
-bounds added latency under light load).  Requests with *different* keys
-never share a batch — and because the sweep-aware
-:class:`~repro.serve.plan_cache.PlanKey` carries ``steps``, multi-sweep
-requests coalesce by ``(plan, steps)``: a batch only ever fuses requests
-advancing the same plan by the same number of sweeps, so the whole batch
-can ride one temporal super-sweep.  Keys are served oldest-pending-head first — an
-overdue cold key always beats a hot key's next full batch, so sustained
-hot traffic delays a cold request by at most one coalescing window plus
-one batch service time — but while the oldest head is still inside its
-window, any key that already has a full batch releases immediately.
+:class:`BatchQueue` releases batches *work-conserving* by default
+(``max_wait_s = DEFAULT_MAX_WAIT_S = 0``): the oldest pending head's batch
+ships as soon as the queue's consumer is free to take it, so an idle
+worker never sits out a timer.  Batches still form — requests that arrive
+while the consumer is busy fuse by key, up to ``max_batch_size`` — but
+behind a busy worker, not behind a clock.  A ``max_wait_s`` above 0 is an
+opt-in *hold*: the oldest head waits up to that long for co-batchable
+arrivals (or until ``max_batch_size`` same-key requests are pending), and
+while it waits, any key that already has a full batch releases
+immediately.  Requests with *different* keys never share a batch — and
+because the sweep-aware :class:`~repro.serve.plan_cache.PlanKey` carries
+``steps``, multi-sweep requests coalesce by ``(plan, steps)``: a batch
+only ever fuses requests advancing the same plan by the same number of
+sweeps, so the whole batch can ride one temporal super-sweep.  Keys are
+served oldest-pending-head first, so sustained hot traffic delays a cold
+request by at most one hold plus one batch service time.
 """
 
 from __future__ import annotations
@@ -36,7 +39,17 @@ from ..stencil.grid import Grid
 from ..stencil.spec import StencilSpec
 from .plan_cache import PlanKey
 
-__all__ = ["BatchQueue", "DeadlineExceeded", "ServeRequest"]
+__all__ = [
+    "BatchQueue",
+    "DEFAULT_MAX_WAIT_S",
+    "DeadlineExceeded",
+    "ServeRequest",
+]
+
+#: The release policy every serving entry point defaults to (the queue,
+#: ``WorkerPool``, ``StencilService`` and the CLI ``--wait-ms`` flags):
+#: 0 releases a batch as soon as its consumer is free to take it.
+DEFAULT_MAX_WAIT_S = 0.0
 
 
 class DeadlineExceeded(TimeoutError):
@@ -180,20 +193,23 @@ class BatchQueue:
     max_batch_size:
         Hard cap on fused batch occupancy.
     max_wait_s:
-        How long the oldest pending request may wait for co-batchable
-        arrivals before its (possibly singleton) batch is released.
+        Release policy.  ``0`` (the default) releases the oldest head's
+        batch as soon as the consumer asks for one; requests that queued
+        while the consumer was busy fuse into it.  A value above 0 is an
+        opt-in hold: the oldest head waits up to ``max_wait_s`` for
+        co-batchable arrivals before its (possibly singleton) batch ships.
     clock:
         Monotonic time source (injectable for tests).
 
     Exactly one worker may consume from a queue: :meth:`get_batch` leaves
-    pending requests visible while it waits out the coalescing deadline.
+    pending requests visible while it holds the oldest head.
     """
 
     def __init__(
         self,
         *,
         max_batch_size: int = 8,
-        max_wait_s: float = 0.002,
+        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_batch_size < 1:
@@ -257,15 +273,53 @@ class BatchQueue:
             self._closed = True
             self._cond.notify_all()
 
+    def _oldest_head_locked(self):
+        """The (key, fifo) whose head request has waited longest."""
+        return min(
+            self._by_key.items(), key=lambda kv: kv[1][0].submitted_s
+        )
+
+    def _hold_locked(self):
+        """Opt-in hold (``max_wait_s > 0``): pick the batch to release.
+
+        The oldest head waits out its window, released early when its key
+        fills, the queue closes, or its request deadline passes; while it
+        waits, any key that already has a full batch releases at once
+        instead of idling the worker.
+        """
+        while True:
+            key, fifo = self._oldest_head_locked()
+            if self._closed or len(fifo) >= self.max_batch_size:
+                return key, fifo
+            now = self._clock()
+            remaining = fifo[0].submitted_s + self.max_wait_s - now
+            if fifo[0].deadline_s is not None:
+                # an expired head releases its batch immediately (it is
+                # failed after the pop; co-batched live requests just ship
+                # a window early)
+                remaining = min(remaining, fifo[0].deadline_s - now)
+            if remaining <= 0:
+                return key, fifo
+            full = [
+                kv
+                for kv in self._by_key.items()
+                if len(kv[1]) >= self.max_batch_size
+            ]
+            if full:
+                return min(full, key=lambda kv: kv[1][0].submitted_s)
+            self._cond.wait(remaining)
+
     def get_batch(self) -> Optional[List[ServeRequest]]:
         """Next coalesced batch, or None once closed and drained.
 
-        Blocks until at least one request is pending, then waits up to the
-        head request's deadline for more requests with the *same* plan key,
-        releasing early when ``max_batch_size`` is reached.
+        Blocks until at least one request is pending.  With the default
+        zero window the oldest head's batch — every same-key request
+        already pending, up to ``max_batch_size`` — is popped at once.
+        With ``max_wait_s > 0`` the oldest head is held for co-batchable
+        arrivals first (see :meth:`_hold_locked`).
 
         Request deadlines are enforced here (the "at coalescing" half of
-        the deadline contract): the wait wakes no later than the head
+        the deadline contract): a hold wakes no later than the head
         request's deadline, and every popped request whose deadline has
         passed is failed with :class:`DeadlineExceeded` instead of being
         handed to a worker — an expired future never costs execute time.
@@ -276,43 +330,10 @@ class BatchQueue:
                     if self._closed:
                         return None
                     self._cond.wait()
-                while True:
-                    # priority 1: the oldest pending head, once its
-                    # coalescing window has expired (or on close/full) —
-                    # this bounds how long a cold key can be delayed by
-                    # hot traffic
-                    key, fifo = min(
-                        self._by_key.items(),
-                        key=lambda kv: kv[1][0].submitted_s,
-                    )
-                    if self._closed or len(fifo) >= self.max_batch_size:
-                        break
-                    now = self._clock()
-                    remaining = fifo[0].submitted_s + self.max_wait_s - now
-                    if fifo[0].deadline_s is not None:
-                        # an expired head releases its batch immediately
-                        # (it is failed below, co-batched live requests
-                        # just ship a window early)
-                        remaining = min(
-                            remaining, fifo[0].deadline_s - now
-                        )
-                    if remaining <= 0:
-                        break
-                    # priority 2: while the oldest head is still inside
-                    # its window, a different key that already has a full
-                    # batch releases immediately instead of idling the
-                    # worker
-                    full = [
-                        kv
-                        for kv in self._by_key.items()
-                        if len(kv[1]) >= self.max_batch_size
-                    ]
-                    if full:
-                        key, fifo = min(
-                            full, key=lambda kv: kv[1][0].submitted_s
-                        )
-                        break
-                    self._cond.wait(remaining)
+                if self.max_wait_s > 0:
+                    key, fifo = self._hold_locked()
+                else:
+                    key, fifo = self._oldest_head_locked()
                 batch = []
                 while fifo and len(batch) < self.max_batch_size:
                     batch.append(fifo.popleft())

@@ -39,7 +39,7 @@ from ..stencil import multigrid
 from ..stencil.grid import BoundaryCondition, Grid
 from ..stencil.solvers import HISTORY_LIMIT, SolveResult
 from ..stencil.spec import StencilSpec
-from .batching import DeadlineExceeded, ServeRequest
+from .batching import DEFAULT_MAX_WAIT_S, DeadlineExceeded, ServeRequest
 from .faults import FaultInjector, FaultPlan, InjectedFault
 from .sessions import SolveHandle
 from .metrics import MetricsRegistry
@@ -83,8 +83,11 @@ class StencilService:
     max_batch_size:
         Cap on how many same-plan requests fuse into one executor pass.
     max_wait_s:
-        Batching deadline: how long a pending request may wait for
-        co-batchable arrivals (bounds added latency under light load).
+        Batch release policy.  ``0`` (the default) releases a batch as
+        soon as its shard's worker is free to take it; requests that
+        arrive while the worker is busy fuse into the next batch.  A value
+        above 0 is an opt-in hold: the oldest pending request waits up to
+        that long for co-batchable arrivals.
     cache_capacity:
         Per-worker plan-cache capacity (LRU).
     precision / variant / device:
@@ -168,7 +171,7 @@ class StencilService:
         *,
         workers: int = 4,
         max_batch_size: Optional[int] = None,
-        max_wait_s: float = 0.002,
+        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         cache_capacity: int = 64,
         precision: str = MmaPrecision.EXACT,
         variant: SpiderVariant = SpiderVariant.SPTC_CO,
@@ -226,6 +229,8 @@ class StencilService:
         if max_batch_size is None:
             max_batch_size = 8
         self._tuned_plans = tuned_plans
+        self.max_batch_size = int(max_batch_size)
+        self.max_wait_s = float(max_wait_s)
         if transport not in WORKER_TRANSPORTS:
             raise ValueError(
                 f"unsupported transport {transport!r}; "
@@ -809,6 +814,8 @@ class StencilService:
             metrics=self.metrics.samples(),
             mac_threads=self.mac_threads,
             tuned_profile=self._tuned_profile_summary(),
+            max_batch_size=self.max_batch_size,
+            max_wait_s=self.max_wait_s,
         )
 
     def _tuned_profile_summary(self) -> Optional[dict]:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .batching import DEFAULT_MAX_WAIT_S
 from .metrics import MetricSample, StreamingHistogram, render_prometheus
 from .plan_cache import CacheStats
 
@@ -352,6 +353,10 @@ class ServiceStats:
     #: summary of the loaded ``repro tune`` profile (plan-override count,
     #: service knobs, provenance) — ``None`` when the service is untuned
     tuned_profile: Optional[Dict[str, object]] = None
+    #: batch release policy the queue waits above were served under: the
+    #: fused-batch cap and the hold window (0 = release on worker free)
+    max_batch_size: int = 8
+    max_wait_s: float = DEFAULT_MAX_WAIT_S
 
     @property
     def cache_hit_rate(self) -> float:
@@ -554,6 +559,16 @@ def format_service_report(stats: ServiceStats) -> str:
         if tp.get("source"):
             parts.append(f"via {tp['source']}")
         lines.append(f"{'tuned profile':<22} " + "  ".join(parts))
+    if stats.backend == "sync":
+        release = "none (inline on the caller)"
+    elif stats.max_wait_s > 0:
+        release = (
+            f"cap {stats.max_batch_size}"
+            f"  hold <= {stats.max_wait_s * 1e3:.1f} ms"
+        )
+    else:
+        release = f"cap {stats.max_batch_size}  release on worker free"
+    lines.append(f"{'batching':<22} {release}")
     lines += [
         f"{'requests served':<22} {t.requests}",
         f"{'sweeps advanced':<22} {t.sweeps}",

@@ -100,7 +100,12 @@ from ..sptc.macpool import resolve_mac_threads
 from ..sptc.mma import MmaPrecision
 from ..stencil.grid import BoundaryCondition, Grid
 from ..stencil.spec import StencilSpec
-from .batching import BatchQueue, DeadlineExceeded, ServeRequest
+from .batching import (
+    DEFAULT_MAX_WAIT_S,
+    BatchQueue,
+    DeadlineExceeded,
+    ServeRequest,
+)
 from .faults import FaultInjector, FaultPlan, InjectedFault
 from .metrics import MetricsRegistry
 from .plan_cache import CacheStats, PlanCache, PlanKey, plan_key_for
@@ -816,8 +821,12 @@ class WorkerPool:
     num_workers:
         Shard count.
     max_batch_size / max_wait_s:
-        Coalescing policy of the per-shard :class:`BatchQueue` (identical
+        Release policy of the per-shard :class:`BatchQueue` (identical
         for both backends — batching always happens in the parent).
+        ``max_wait_s=0`` (the default) releases a batch as soon as the
+        shard's consumer — the :class:`ServeWorker` thread, or the feeder
+        on the process backend — is free to take it; a value above 0 is
+        an opt-in hold of the oldest head for co-batchable arrivals.
     cache_capacity / device:
         Per-shard plan-cache sizing and the machine model plans compile
         against.
@@ -896,7 +905,7 @@ class WorkerPool:
         num_workers: int,
         *,
         max_batch_size: int = 8,
-        max_wait_s: float = 0.002,
+        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         cache_capacity: int = 64,
         device: DeviceSpec = A100_80GB_PCIE,
         telemetry: Optional[ServiceTelemetry] = None,

@@ -1,5 +1,6 @@
 """Batch fusion (`run_batch`) equivalence and coalescing-queue policy."""
 
+import inspect
 import threading
 import time
 
@@ -8,7 +9,10 @@ import pytest
 
 from repro.core import Spider, SpiderVariant
 from repro.core.executor import SpiderExecutor
-from repro.serve import BatchQueue, ServeRequest, plan_key_for
+from repro.cli import build_parser
+from repro.serve import BatchQueue, ServeRequest, StencilService, plan_key_for
+from repro.serve.batching import DEFAULT_MAX_WAIT_S
+from repro.serve.workers import WorkerPool
 from repro.stencil import (
     Grid,
     make_box_kernel,
@@ -192,6 +196,55 @@ def test_queue_close_semantics():
     assert q.get_batch() is None
     with pytest.raises(RuntimeError):
         q.put(_req(spec, (16, 16), 1))
+
+
+def test_default_queue_releases_on_consumer_free_and_coalesces_behind_it():
+    """The default policy is work-conserving: with a clock that never
+    advances no hold window can ever expire, yet a lone request is handed
+    over at once; requests that queued while no consumer was waiting still
+    fuse, up to the cap."""
+    t0 = time.monotonic()
+    q = BatchQueue(clock=lambda: t0)
+    spec = named_stencil("heat2d")
+    lone = _req(spec, (16, 16), 0)
+    lone.submitted_s = t0
+    q.put(lone)
+    got = []
+    consumer = threading.Thread(target=lambda: got.append(q.get_batch()))
+    consumer.daemon = True
+    consumer.start()
+    consumer.join(2.0)
+    alive = consumer.is_alive()
+    if alive:
+        q.close()  # let the held consumer drain and exit
+        consumer.join(2.0)
+    assert not alive, "get_batch held a lone request behind a timer"
+    assert [r.req_id for r in got[0]] == [0]
+
+    n = q.max_batch_size + 3
+    for i in range(1, n + 1):
+        r = _req(spec, (16, 16), i)
+        r.submitted_s = t0
+        q.put(r)
+    first = q.get_batch()
+    assert [r.req_id for r in first] == list(
+        range(1, 1 + min(n, q.max_batch_size))
+    )
+    assert [r.req_id for r in q.get_batch()] == list(
+        range(1 + q.max_batch_size, n + 1)
+    )
+    assert len(q) == 0
+
+
+def test_release_policy_default_is_one_constant():
+    """Every entry point defaults to the one release policy constant."""
+    for ctor in (BatchQueue, WorkerPool, StencilService):
+        param = inspect.signature(ctor).parameters["max_wait_s"]
+        assert param.default == DEFAULT_MAX_WAIT_S, ctor.__name__
+    parser = build_parser()
+    for argv in (["serve-bench"], ["trace", "out.json"]):
+        args = parser.parse_args(argv)
+        assert args.wait_ms / 1e3 == DEFAULT_MAX_WAIT_S, argv[0]
 
 
 def test_queue_parameter_validation():

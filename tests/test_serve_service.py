@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import Spider, StencilService
+from repro.serve.telemetry import format_service_report
 from repro.stencil import (
     Grid,
     closed_loop_stream,
@@ -176,6 +177,22 @@ def test_format_report_mentions_key_stats():
     assert "plan cache" in text
     assert "latency (ms)" in text
     assert "batch occupancy" in text
+    assert "none (inline on the caller)" in text
+    # the report names the release policy its queue waits were served under
+    for kwargs, line in (
+        ({}, "cap 8  release on worker free"),
+        ({"max_batch_size": 4, "max_wait_s": 0.002}, "cap 4  hold <= 2.0 ms"),
+    ):
+        with StencilService(workers=1, **kwargs) as svc:
+            svc.run(named_stencil("heat2d"), Grid.random((16, 16)))
+            stats = svc.stats()
+        assert stats.max_batch_size == kwargs.get("max_batch_size", 8)
+        assert stats.max_wait_s == kwargs.get("max_wait_s", 0.0)
+        batching = [
+            ln for ln in format_service_report(stats).splitlines()
+            if ln.startswith("batching")
+        ]
+        assert len(batching) == 1 and batching[0].endswith(line)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,11 @@ from repro.stencil import (
 )
 from repro.stencil.solvers import PlanExecutor
 
-BACKENDS = ["sync", "thread", "process"]
+#: the "-default-wait" variants run at the shipped release policy (no
+#: explicit window), where a session's applications ship immediately
+BACKENDS = [
+    "sync", "thread", "process", "thread-default-wait", "process-default-wait"
+]
 
 #: (dims, grid shape) — odd 2**k - 1 sides so V-cycles coarsen fully.
 DIM_SHAPES = [(1, (63,)), (2, (31, 31)), (3, (15, 15, 15))]
@@ -37,6 +41,10 @@ DIM_SHAPES = [(1, (63,)), (2, (31, 31)), (3, (15, 15, 15))]
 def _service_kwargs(backend):
     if backend == "sync":
         return dict(workers=0)
+    if backend.endswith("-default-wait"):
+        return dict(
+            workers=2, backend=backend.split("-")[0], max_batch_size=4
+        )
     return dict(
         workers=2, backend=backend, max_batch_size=4, max_wait_s=0.001
     )
