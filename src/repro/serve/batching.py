@@ -13,8 +13,12 @@ phase-amortization idea as the SUMMA compute model's overlapped pipeline
 ships as soon as the queue's consumer is free to take it, so an idle
 worker never sits out a timer.  Batches still form — requests that arrive
 while the consumer is busy fuse by key, up to ``max_batch_size`` — but
-behind a busy worker, not behind a clock.  A ``max_wait_s`` above 0 is an
-opt-in *hold*: the oldest head waits up to that long for co-batchable
+behind a busy consumer, not behind a clock.  On the thread backend the
+consumer is the worker itself.  On the process backend it is the shard's
+feeder, which is free again as soon as it has packed a batch and queued
+it for the child, so there batches form only behind packing and shm slab
+backpressure, not behind a busy child process.  A ``max_wait_s`` above 0
+is an opt-in *hold*: the oldest head waits up to that long for co-batchable
 arrivals (or until ``max_batch_size`` same-key requests are pending), and
 while it waits, any key that already has a full batch releases
 immediately.  Requests with *different* keys never share a batch — and
@@ -273,50 +277,16 @@ class BatchQueue:
             self._closed = True
             self._cond.notify_all()
 
-    def _oldest_head_locked(self):
-        """The (key, fifo) whose head request has waited longest."""
-        return min(
-            self._by_key.items(), key=lambda kv: kv[1][0].submitted_s
-        )
-
-    def _hold_locked(self):
-        """Opt-in hold (``max_wait_s > 0``): pick the batch to release.
-
-        The oldest head waits out its window, released early when its key
-        fills, the queue closes, or its request deadline passes; while it
-        waits, any key that already has a full batch releases at once
-        instead of idling the worker.
-        """
-        while True:
-            key, fifo = self._oldest_head_locked()
-            if self._closed or len(fifo) >= self.max_batch_size:
-                return key, fifo
-            now = self._clock()
-            remaining = fifo[0].submitted_s + self.max_wait_s - now
-            if fifo[0].deadline_s is not None:
-                # an expired head releases its batch immediately (it is
-                # failed after the pop; co-batched live requests just ship
-                # a window early)
-                remaining = min(remaining, fifo[0].deadline_s - now)
-            if remaining <= 0:
-                return key, fifo
-            full = [
-                kv
-                for kv in self._by_key.items()
-                if len(kv[1]) >= self.max_batch_size
-            ]
-            if full:
-                return min(full, key=lambda kv: kv[1][0].submitted_s)
-            self._cond.wait(remaining)
-
     def get_batch(self) -> Optional[List[ServeRequest]]:
         """Next coalesced batch, or None once closed and drained.
 
         Blocks until at least one request is pending.  With the default
         zero window the oldest head's batch — every same-key request
         already pending, up to ``max_batch_size`` — is popped at once.
-        With ``max_wait_s > 0`` the oldest head is held for co-batchable
-        arrivals first (see :meth:`_hold_locked`).
+        With ``max_wait_s > 0`` the oldest head is first held for
+        co-batchable arrivals, released early when its key fills or the
+        queue closes; while it waits, any key that already has a full
+        batch releases immediately instead of idling the worker.
 
         Request deadlines are enforced here (the "at coalescing" half of
         the deadline contract): a hold wakes no later than the head
@@ -330,10 +300,46 @@ class BatchQueue:
                     if self._closed:
                         return None
                     self._cond.wait()
-                if self.max_wait_s > 0:
-                    key, fifo = self._hold_locked()
-                else:
-                    key, fifo = self._oldest_head_locked()
+                while True:
+                    # priority 1: the oldest pending head, once its
+                    # coalescing window has expired (or on close/full) —
+                    # this bounds how long a cold key can be delayed by
+                    # hot traffic
+                    key, fifo = min(
+                        self._by_key.items(),
+                        key=lambda kv: kv[1][0].submitted_s,
+                    )
+                    if self._closed or len(fifo) >= self.max_batch_size:
+                        break
+                    now = self._clock()
+                    remaining = fifo[0].submitted_s + self.max_wait_s - now
+                    if fifo[0].deadline_s is not None:
+                        # an expired head releases its batch immediately
+                        # (it is failed below, co-batched live requests
+                        # just ship a window early)
+                        remaining = min(
+                            remaining, fifo[0].deadline_s - now
+                        )
+                    if remaining <= 0:
+                        # a zero window (the default) always exits here
+                        # on the first pass: the head was submitted at or
+                        # before ``now``, so its batch ships at once
+                        break
+                    # priority 2: while the oldest head is still inside
+                    # its window, a different key that already has a full
+                    # batch releases immediately instead of idling the
+                    # worker
+                    full = [
+                        kv
+                        for kv in self._by_key.items()
+                        if len(kv[1]) >= self.max_batch_size
+                    ]
+                    if full:
+                        key, fifo = min(
+                            full, key=lambda kv: kv[1][0].submitted_s
+                        )
+                        break
+                    self._cond.wait(remaining)
                 batch = []
                 while fifo and len(batch) < self.max_batch_size:
                     batch.append(fifo.popleft())

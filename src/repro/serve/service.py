@@ -84,8 +84,9 @@ class StencilService:
         Cap on how many same-plan requests fuse into one executor pass.
     max_wait_s:
         Batch release policy.  ``0`` (the default) releases a batch as
-        soon as its shard's worker is free to take it; requests that
-        arrive while the worker is busy fuse into the next batch.  A value
+        soon as its shard's consumer (the worker thread, or the feeder on
+        the process backend) is free to take it; requests that arrive
+        while it is busy fuse into the next batch.  A value
         above 0 is an opt-in hold: the oldest pending request waits up to
         that long for co-batchable arrivals.
     cache_capacity:
@@ -229,8 +230,6 @@ class StencilService:
         if max_batch_size is None:
             max_batch_size = 8
         self._tuned_plans = tuned_plans
-        self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_s)
         if transport not in WORKER_TRANSPORTS:
             raise ValueError(
                 f"unsupported transport {transport!r}; "
@@ -801,6 +800,7 @@ class StencilService:
             self._prune_inflight_locked()
             submitted = self._submitted
             inflight = sum(1 for r in self._inflight if not r.done())
+        queue = self._pool.queues[0] if self._pool is not None else None
         return ServiceStats(
             workers=self.workers,
             submitted=submitted,
@@ -814,8 +814,9 @@ class StencilService:
             metrics=self.metrics.samples(),
             mac_threads=self.mac_threads,
             tuned_profile=self._tuned_profile_summary(),
-            max_batch_size=self.max_batch_size,
-            max_wait_s=self.max_wait_s,
+            # the pool's queues hold the release policy (all shards share it)
+            max_batch_size=None if queue is None else queue.max_batch_size,
+            max_wait_s=None if queue is None else queue.max_wait_s,
         )
 
     def _tuned_profile_summary(self) -> Optional[dict]:

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batching import DEFAULT_MAX_WAIT_S
 from .metrics import MetricSample, StreamingHistogram, render_prometheus
 from .plan_cache import CacheStats
 
@@ -354,9 +353,10 @@ class ServiceStats:
     #: service knobs, provenance) — ``None`` when the service is untuned
     tuned_profile: Optional[Dict[str, object]] = None
     #: batch release policy the queue waits above were served under: the
-    #: fused-batch cap and the hold window (0 = release on worker free)
-    max_batch_size: int = 8
-    max_wait_s: float = DEFAULT_MAX_WAIT_S
+    #: fused-batch cap and the hold window (0 = release on worker free);
+    #: ``None`` when nothing is queued (the synchronous fallback)
+    max_batch_size: Optional[int] = None
+    max_wait_s: Optional[float] = None
 
     @property
     def cache_hit_rate(self) -> float:
@@ -559,7 +559,7 @@ def format_service_report(stats: ServiceStats) -> str:
         if tp.get("source"):
             parts.append(f"via {tp['source']}")
         lines.append(f"{'tuned profile':<22} " + "  ".join(parts))
-    if stats.backend == "sync":
+    if stats.max_wait_s is None:
         release = "none (inline on the caller)"
     elif stats.max_wait_s > 0:
         release = (
